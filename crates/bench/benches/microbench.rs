@@ -1,16 +1,21 @@
 //! Criterion microbenches for the performance-critical kernels: codec
 //! decode paths (full / ROI / early-stop), preprocessing operators (fused
-//! vs unfused), the DAG optimizer, and Huffman coding.
+//! vs unfused), the one-pass producer kernel against the op-by-op path it
+//! replaced, the DAG optimizer, and Huffman coding.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use smol_codec::{sjpg, spng, SjpgEncoder};
 use smol_data::{still_catalog, throughput_images};
 use smol_imgproc::dag::{DagOptimizer, PreprocPlan};
-use smol_imgproc::ops::fused::fused_convert_normalize_split;
+use smol_imgproc::ops::fused::{
+    fused_convert_normalize_split, fused_convert_normalize_split_into,
+    fused_resample_normalize_split_into,
+};
 use smol_imgproc::ops::layout::{hwc_to_chw, to_f32};
 use smol_imgproc::ops::normalize::{normalize_chw, Normalization};
-use smol_imgproc::ops::{center_crop_u8, resize_short_edge_u8};
-use smol_imgproc::Rect;
+use smol_imgproc::ops::resize::resize_bilinear_u8_reference;
+use smol_imgproc::ops::{center_crop_u8, crop_u8, resize_short_edge_u8, Resample};
+use smol_imgproc::{ImageU8, Rect};
 
 fn test_image() -> smol_imgproc::ImageU8 {
     let spec = &still_catalog()[3];
@@ -84,6 +89,72 @@ fn bench_preproc(c: &mut Criterion) {
     g.finish();
 }
 
+/// The one-pass producer kernel at the benchmark workloads' geometries,
+/// each beside the op-by-op path it replaced (copy the crop, scalar
+/// bilinear resize into a fresh image, then a separate normalize pass).
+fn bench_one_pass(c: &mut Criterion) {
+    let noisy = |w: usize, h: usize| {
+        let mut img = ImageU8::zeros(w, h, 3);
+        for (i, v) in img.data_mut().iter_mut().enumerate() {
+            *v = (i.wrapping_mul(2_654_435_761) >> 7) as u8;
+        }
+        img
+    };
+    let norm = Normalization::IMAGENET;
+    // (name, source, window, output edge): scan_fullres's MCU-aligned
+    // central ROI already at the DNN input, a 63-px crop of a 128x72
+    // thumbnail upsampled to 224, and a 263x240 crop of a 320x240 frame
+    // downsampled to 160.
+    let cases = [
+        (
+            "identity_224",
+            noisy(224, 224),
+            Rect::new(0, 0, 224, 224),
+            224,
+        ),
+        (
+            "crop63_of_128x72_to_224",
+            noisy(128, 72),
+            Rect::centered(128, 72, 63, 63),
+            224,
+        ),
+        (
+            "roi263_to_160",
+            noisy(320, 240),
+            Rect::centered(320, 240, 263, 240),
+            160,
+        ),
+    ];
+    let mut g = c.benchmark_group("preproc_one_pass");
+    for (name, img, window, edge) in &cases {
+        g.throughput(Throughput::Elements((edge * edge * 3) as u64));
+        let geom = Resample::identity(img.width(), img.height())
+            .crop(*window)
+            .resize(*edge, *edge)
+            .expect("one resize");
+        let mut staged = vec![0.0f32; edge * edge * 3];
+        g.bench_function(&format!("fused_{name}"), |b| {
+            b.iter(|| {
+                fused_resample_normalize_split_into(
+                    std::hint::black_box(img),
+                    &geom,
+                    &norm,
+                    &mut staged,
+                )
+                .unwrap()
+            })
+        });
+        g.bench_function(&format!("op_by_op_{name}"), |b| {
+            b.iter(|| {
+                let crop = crop_u8(std::hint::black_box(img), *window).unwrap();
+                let resized = resize_bilinear_u8_reference(&crop, *edge, *edge).unwrap();
+                fused_convert_normalize_split_into(&resized, &norm, &mut staged).unwrap()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_planner(c: &mut Criterion) {
     let mut g = c.benchmark_group("dag_optimizer");
     let plan = PreprocPlan::standard(256, 224, 224);
@@ -96,6 +167,6 @@ fn bench_planner(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_codecs, bench_preproc, bench_planner
+    targets = bench_codecs, bench_preproc, bench_one_pass, bench_planner
 }
 criterion_main!(benches);

@@ -132,7 +132,7 @@ fn main() {
     let mut slow_s = 0.0;
     let mut fast_s = 0.0;
     for enc in &encoded {
-        let (s, f) = bench_ab(&enc.bytes, reference, fast, reps);
+        let (s, f) = bench_ab(enc.bytes(), reference, fast, reps);
         slow_s += s;
         fast_s += f;
     }
@@ -178,7 +178,7 @@ fn main() {
     let enc420 = smol_codec::SjpgEncoder::with_chroma(90, Chroma::C420)
         .encode(&natives[0])
         .expect("encode 420");
-    let (t444, _) = bench_decode(&enc444.bytes, fast, reps);
+    let (t444, _) = bench_decode(enc444.bytes(), fast, reps);
     let (t420, _) = bench_decode(&enc420, fast, reps);
     let specs = [
         mk_spec("full sjpg(q=90)", Format::sjpg(90), 0.7516, 1.0 / t444),

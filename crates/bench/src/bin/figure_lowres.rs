@@ -97,8 +97,8 @@ fn main() {
     let mut idct_full = 0u64;
     let mut idct_reduced = 0u64;
     for enc in encoded.iter().take(8) {
-        let (full_img, fs) = sjpg::decode_with_stats(&enc.bytes).expect("full decode");
-        let (small, rs) = sjpg::decode_scaled(&enc.bytes, 8).expect("scaled decode");
+        let (full_img, fs) = sjpg::decode_with_stats(enc.bytes()).expect("full decode");
+        let (small, rs) = sjpg::decode_scaled(enc.bytes(), 8).expect("scaled decode");
         let reference = box_downsample_u8(&full_img, 8).expect("reference downsample");
         min_psnr = min_psnr.min(psnr(&reference, &small));
         idct_full += fs.idct_macs;

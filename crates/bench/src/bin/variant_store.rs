@@ -111,7 +111,7 @@ fn main() {
         .items
         .iter()
         .zip(&encoded)
-        .all(|(a, b)| a.bytes[..] == b.bytes[..] && a.fingerprint() == b.fingerprint());
+        .all(|(a, b)| a.bytes()[..] == b.bytes()[..] && a.fingerprint() == b.fingerprint());
     println!(
         "store: {n} objects, {} bytes written, {} deduped; verified load {} im/s; \
          round-trip bit-identical: {store_identical}",

@@ -131,7 +131,7 @@ impl VariantSet {
             VariantKind::FullRes => self.spec.tput_native,
             _ => {
                 let first = &self.items(kind)[0];
-                (first.width, first.height)
+                (first.width(), first.height())
             }
         };
         let format = match kind {

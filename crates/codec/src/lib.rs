@@ -166,16 +166,49 @@ impl Format {
     }
 }
 
-/// An encoded image: format tag + shared bytes + cached dimensions.
+/// An encoded image: format tag + shared bytes + cached dimensions and
+/// content fingerprint. Immutable once built, so the fingerprint computed
+/// at construction always names these exact contents.
 #[derive(Debug, Clone)]
 pub struct EncodedImage {
-    pub format: Format,
-    pub width: usize,
-    pub height: usize,
-    pub bytes: Bytes,
+    format: Format,
+    width: usize,
+    height: usize,
+    bytes: Bytes,
+    fingerprint: u64,
 }
 
 impl EncodedImage {
+    /// Wraps already-encoded `bytes` (e.g. read back from a store) and
+    /// computes their content fingerprint once.
+    pub fn new(format: Format, width: usize, height: usize, bytes: Bytes) -> Self {
+        let fingerprint = content_fingerprint(format, width, height, &bytes);
+        EncodedImage {
+            format,
+            width,
+            height,
+            bytes,
+            fingerprint,
+        }
+    }
+
+    pub fn format(&self) -> Format {
+        self.format
+    }
+
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
+    /// The encoded bytes (a shared handle; cloning it copies nothing).
+    pub fn bytes(&self) -> &Bytes {
+        &self.bytes
+    }
+
     /// Encodes `img` in the requested format.
     pub fn encode(img: &ImageU8, format: Format) -> Result<Self> {
         let bytes = match format {
@@ -185,12 +218,7 @@ impl EncodedImage {
             Format::Spng => spng::encode(img)?,
             Format::Svid { .. } => return Err(format.unsupported("single-image encode")),
         };
-        Ok(EncodedImage {
-            format,
-            width: img.width(),
-            height: img.height(),
-            bytes,
-        })
+        Ok(EncodedImage::new(format, img.width(), img.height(), bytes))
     }
 
     /// Fully decodes.
@@ -292,27 +320,34 @@ impl EncodedImage {
     /// `std::collections::hash_map::DefaultHasher`), so it can name objects
     /// in an on-disk content-addressed store and key decoded-tensor caches
     /// consistently between a materialization run and a later serving run.
+    /// Computed once at construction; this is a field read.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(self.format.name().as_bytes());
-        eat(&(self.width as u64).to_le_bytes());
-        eat(&(self.height as u64).to_le_bytes());
-        eat(&self.bytes);
-        h
+        self.fingerprint
     }
 
     /// Compression ratio relative to raw RGB.
     pub fn compression_ratio(&self) -> f64 {
         (self.width * self.height * 3) as f64 / self.bytes.len() as f64
     }
+}
+
+/// FNV-1a 64 over `format`'s name, the dimensions as little-endian u64s,
+/// and `bytes` (see [`EncodedImage::fingerprint`]).
+fn content_fingerprint(format: Format, width: usize, height: usize, bytes: &[u8]) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+    };
+    eat(format.name().as_bytes());
+    eat(&(width as u64).to_le_bytes());
+    eat(&(height as u64).to_le_bytes());
+    eat(bytes);
+    h
 }
 
 #[cfg(test)]
@@ -395,12 +430,7 @@ mod tests {
         assert_ne!(a.fingerprint(), other.fingerprint());
         // Pinned value: the fingerprint is part of the on-disk store layout,
         // so it must stay stable across processes and releases.
-        let empty = EncodedImage {
-            format: Format::Spng,
-            width: 0,
-            height: 0,
-            bytes: Bytes::new(),
-        };
+        let empty = EncodedImage::new(Format::Spng, 0, 0, Bytes::new());
         assert_eq!(empty.fingerprint(), {
             // FNV-1a of "spng" + two zero u64s, computed independently.
             let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -410,6 +440,11 @@ mod tests {
             }
             h
         });
+        // And a pinned literal over real content: an `EncodedImage` carries
+        // its fingerprint from construction, and that value names on-disk
+        // store objects, so it must never change.
+        let pinned = EncodedImage::new(Format::sjpg(90), 2, 3, Bytes::copy_from_slice(b"smol"));
+        assert_eq!(pinned.fingerprint(), 0x1ca2_94f0_871b_bf7d);
     }
 
     #[test]
@@ -439,12 +474,7 @@ mod tests {
             EncodedImage::encode(&img, fmt),
             Err(Error::UnsupportedFormat { .. })
         ));
-        let enc = EncodedImage {
-            format: fmt,
-            width: 32,
-            height: 32,
-            bytes: Bytes::new(),
-        };
+        let enc = EncodedImage::new(fmt, 32, 32, Bytes::new());
         assert!(matches!(enc.decode(), Err(Error::UnsupportedFormat { .. })));
         assert!(enc.decode_roi(Rect::new(0, 0, 8, 8)).is_err());
         assert!(enc.decode_scaled(2).is_err());

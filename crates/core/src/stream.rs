@@ -83,6 +83,29 @@ impl PacingPolicy {
             rung: rung.clamp(1, n_rungs - 1),
         }
     }
+
+    /// [`PacingPolicy::decide`] with a look-ahead. `projected_s[r]` is how
+    /// long after its arrival this GOP would resolve on rung `r`, given
+    /// the work already committed ahead of it (one entry per rung). A
+    /// burst that arrives faster than the oldest in-flight GOP can age
+    /// past the target never shows in `lag_s`; the projection sees it.
+    /// The rung is the deeper of the lag-mapped one and the most accurate
+    /// rung whose projection meets `target_lag_s` (the deepest when none
+    /// does). Shedding still keys on the observed lag alone.
+    pub fn decide_projected(&self, lag_s: f64, projected_s: &[f64]) -> PaceDecision {
+        match self.decide(lag_s, projected_s.len()) {
+            PaceDecision::Submit { rung } if self.enabled && projected_s.len() > 1 => {
+                let on_time = projected_s
+                    .iter()
+                    .position(|&p| p <= self.target_lag_s)
+                    .unwrap_or(projected_s.len() - 1);
+                PaceDecision::Submit {
+                    rung: rung.max(on_time),
+                }
+            }
+            decision => decision,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -123,6 +146,39 @@ mod tests {
         assert_eq!(p.decide(2.0, 1), PaceDecision::Submit { rung: 0 });
         assert_eq!(p.decide(2.0, 0), PaceDecision::Submit { rung: 0 });
         assert_eq!(p.decide(9.0, 1), PaceDecision::Drop);
+    }
+
+    #[test]
+    fn projection_downgrades_a_burst_before_lag_shows() {
+        let p = PacingPolicy {
+            enabled: true,
+            target_lag_s: 0.05,
+            drop_lag_s: 0.4,
+        };
+        // No backlog: the chosen plan runs.
+        assert_eq!(
+            p.decide_projected(0.0, &[0.01, 0.008, 0.002]),
+            PaceDecision::Submit { rung: 0 }
+        );
+        // Observed lag is still zero, but the committed work would finish
+        // this GOP late on rungs 0 and 1: the first on-time rung runs.
+        assert_eq!(
+            p.decide_projected(0.0, &[0.09, 0.07, 0.04]),
+            PaceDecision::Submit { rung: 2 }
+        );
+        // Late on every rung: the deepest one runs.
+        assert_eq!(
+            p.decide_projected(0.01, &[0.3, 0.2, 0.1]),
+            PaceDecision::Submit { rung: 2 }
+        );
+        // The lag-mapped rung is a floor the projection cannot lift.
+        assert_eq!(p.decide_projected(0.1, &[0.0, 0.0, 0.0]), p.decide(0.1, 3));
+        // Shedding and the lesion are unchanged.
+        assert_eq!(p.decide_projected(0.4, &[0.0, 0.0]), PaceDecision::Drop);
+        assert_eq!(
+            PacingPolicy::disabled().decide_projected(0.0, &[9.0, 9.0]),
+            PaceDecision::Submit { rung: 0 }
+        );
     }
 
     #[test]

@@ -123,8 +123,8 @@ mod tests {
         }
         for v in &vars {
             assert_eq!(v.items.len(), 6);
-            assert_eq!(v.items[0].width, v.width);
-            assert_eq!(v.items[0].format, v.format);
+            assert_eq!(v.items[0].width(), v.width);
+            assert_eq!(v.items[0].format(), v.format);
         }
     }
 

@@ -132,16 +132,16 @@ impl VariantStore {
                 if path.is_file() {
                     report.objects_deduped += 1;
                 } else {
-                    write_atomic(&path, &item.bytes)?;
+                    write_atomic(&path, item.bytes())?;
                     report.objects_written += 1;
-                    report.bytes_written += item.bytes.len() as u64;
+                    report.bytes_written += item.bytes().len() as u64;
                 }
                 manifest.push_str(&format!(
                     "item\t{fp:016x}\t{}\t{}\t{}\t{}\n",
-                    format_code(item.format),
-                    item.width,
-                    item.height,
-                    item.bytes.len()
+                    format_code(item.format()),
+                    item.width(),
+                    item.height(),
+                    item.bytes().len()
                 ));
             }
         }
@@ -203,12 +203,7 @@ impl VariantStore {
                         bytes.len()
                     )));
                 }
-                let item = EncodedImage {
-                    format,
-                    width,
-                    height,
-                    bytes: Bytes::from(bytes),
-                };
+                let item = EncodedImage::new(format, width, height, Bytes::from(bytes));
                 if item.fingerprint() != fp {
                     return Err(bad_data(format!(
                         "object {fp:016x} failed fingerprint verification"
@@ -335,8 +330,11 @@ mod tests {
             assert_eq!(orig.thumbnail, back.thumbnail);
             assert_eq!(orig.items.len(), back.items.len());
             for (a, b) in orig.items.iter().zip(&back.items) {
-                assert_eq!(a.bytes, b.bytes, "stored bytes must be bit-identical");
-                assert_eq!((a.width, a.height, a.format), (b.width, b.height, b.format));
+                assert_eq!(a.bytes(), b.bytes(), "stored bytes must be bit-identical");
+                assert_eq!(
+                    (a.width(), a.height(), a.format()),
+                    (b.width(), b.height(), b.format())
+                );
             }
         }
         let _ = fs::remove_dir_all(&root);

@@ -18,7 +18,7 @@
 //! arithmetic operations for the given input geometry.
 
 use crate::error::{Error, Result};
-use crate::image::{ImageU8, Layout, TensorF32};
+use crate::image::{ImageU8, Layout, Rect, TensorF32};
 use crate::ops;
 use crate::ops::normalize::Normalization;
 
@@ -153,14 +153,47 @@ impl PreprocPlan {
     }
 }
 
+/// The source window `FusedCropResize { short, w, h }` reads from a
+/// `width × height` image: the centered pre-image of the `w × h` crop
+/// under a resize of the short edge to `short`.
+pub fn crop_resize_window(width: usize, height: usize, short: u32, w: u32, h: u32) -> Rect {
+    let scale = width.min(height) as f64 / (short as f64).max(1.0);
+    let cw = (((w as f64) * scale).round() as usize).clamp(1, width.max(1));
+    let ch = (((h as f64) * scale).round() as usize).clamp(1, height.max(1));
+    Rect::centered(width, height, cw, ch)
+}
+
+impl OpSpec {
+    /// What a geometric operator does to a `width × height` image: keep a
+    /// region of it, then optionally resize that region to `(w, h)`.
+    /// `None` for the elementwise operators.
+    pub fn geometry(&self, width: usize, height: usize) -> Option<(Rect, Option<(usize, usize)>)> {
+        let all = Rect::new(0, 0, width, height);
+        match self {
+            OpSpec::ResizeShortEdge { short } => Some((
+                all,
+                Some(ops::resize::scaled_dims(width, height, *short as usize)),
+            )),
+            OpSpec::ResizeExact { w, h } => Some((all, Some((*w as usize, *h as usize)))),
+            OpSpec::CenterCrop { w, h } => Some((
+                Rect::centered(width, height, *w as usize, *h as usize),
+                None,
+            )),
+            OpSpec::FusedCropResize { short, w, h } => Some((
+                crop_resize_window(width, height, *short, *w, *h),
+                Some((*w as usize, *h as usize)),
+            )),
+            OpSpec::ConvertF32 | OpSpec::Normalize | OpSpec::ChannelSplit | OpSpec::Fused(_) => {
+                None
+            }
+        }
+    }
+}
+
 fn op_output_dims(spec: &OpSpec, (w, h): (usize, usize)) -> (usize, usize) {
-    match spec {
-        OpSpec::ResizeShortEdge { short } => ops::resize::scaled_dims(w, h, *short as usize),
-        OpSpec::ResizeExact { w: tw, h: th } => (*tw as usize, *th as usize),
-        OpSpec::CenterCrop { w: cw, h: ch } => ((*cw as usize).min(w), (*ch as usize).min(h)),
-        OpSpec::FusedCropResize { w: tw, h: th, .. } => (*tw as usize, *th as usize),
-        OpSpec::ConvertF32 | OpSpec::Normalize | OpSpec::ChannelSplit => (w, h),
-        OpSpec::Fused(_) => (w, h),
+    match spec.geometry(w, h) {
+        Some((keep, resize)) => resize.unwrap_or((keep.w, keep.h)),
+        None => (w, h),
     }
 }
 
@@ -510,14 +543,8 @@ fn apply_op(spec: &OpSpec, state: State, norm: &Normalization) -> Result<State> 
             *h as usize,
         )?)),
         (OpSpec::FusedCropResize { short, w, h }, State::U8(img)) => {
-            // Determine the source window whose image under
-            // resize-short-edge(short) would be the centered w×h crop.
-            let scale = img.short_edge() as f64 / (*short as f64).max(1.0);
-            let cw = ((*w as f64) * scale).round() as usize;
-            let ch = ((*h as f64) * scale).round() as usize;
-            let cw = cw.clamp(1, img.width());
-            let ch = ch.clamp(1, img.height());
-            let cropped = ops::crop::center_crop_u8(&img, cw, ch)?;
+            let window = crop_resize_window(img.width(), img.height(), *short, *w, *h);
+            let cropped = ops::crop::crop_u8(&img, window)?;
             Ok(State::U8(ops::resize::resize_bilinear_u8(
                 &cropped,
                 *w as usize,

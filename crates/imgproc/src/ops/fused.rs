@@ -1,15 +1,18 @@
-//! Fused convert+normalize+split kernel.
+//! Fused (resample+)convert+normalize+split kernel.
 //!
 //! §6.2 rule (2): "normalization, data type conversion, and channel
 //! reordering can be fused", and rule "fusion always improves performance".
 //! This kernel reads the u8 HWC image once and writes the normalized f32 CHW
 //! tensor once, eliminating two intermediate materializations. It can also
 //! write into a caller-provided buffer so the runtime's buffer pool can reuse
-//! pinned staging memory (§6.1).
+//! pinned staging memory (§6.1), and it can take the resize and crops in
+//! front of it along ([`fused_resample_normalize_split_into`]), so the
+//! runtime goes from decoded pixels to the staged tensor in one pass.
 
 use crate::error::{Error, Result};
 use crate::image::{ImageU8, Layout, TensorF32};
 use crate::ops::normalize::Normalization;
+use crate::ops::resize::{resample_rows, Resample};
 
 /// Fused u8-HWC → normalized f32-CHW kernel, allocating the output.
 pub fn fused_convert_normalize_split(img: &ImageU8, n: &Normalization) -> Result<TensorF32> {
@@ -27,13 +30,30 @@ pub fn fused_convert_normalize_split_into(
     n: &Normalization,
     dst: &mut [f32],
 ) -> Result<()> {
+    let whole = Resample::identity(img.width(), img.height());
+    fused_resample_normalize_split_into(img, &whole, n, dst)
+}
+
+/// One pass from decoded pixels to the staged tensor: runs the collapsed
+/// geometric prefix `g` over `img` ([`resample_rows`]) and writes each
+/// output row, converted and normalized, straight into the three planes of
+/// the CHW tensor `dst` (`out.w * out.h * 3` floats). A copy geometry
+/// (crops only, or a resize to the window's own size) interpolates
+/// nothing; the result is bit-identical to running the geometric ops and
+/// [`fused_convert_normalize_split`] one after another.
+pub fn fused_resample_normalize_split_into(
+    img: &ImageU8,
+    g: &Resample,
+    n: &Normalization,
+    dst: &mut [f32],
+) -> Result<()> {
     if img.channels() != 3 {
         return Err(Error::UnsupportedChannels {
             channels: img.channels(),
             op: "fused_convert_normalize_split",
         });
     }
-    let (w, h) = (img.width(), img.height());
+    let (w, h) = g.out_dims();
     let plane = w * h;
     if dst.len() != plane * 3 {
         return Err(Error::ShapeMismatch {
@@ -43,16 +63,21 @@ pub fn fused_convert_normalize_split_into(
         });
     }
     let (scale, bias) = n.affine();
-    let src = img.data();
     // Split dst into three planes so the inner loop is bounds-check friendly.
     let (p0, rest) = dst.split_at_mut(plane);
     let (p1, p2) = rest.split_at_mut(plane);
-    for (i, px) in src.chunks_exact(3).enumerate() {
-        p0[i] = px[0] as f32 * scale[0] + bias[0];
-        p1[i] = px[1] as f32 * scale[1] + bias[1];
-        p2[i] = px[2] as f32 * scale[2] + bias[2];
-    }
-    Ok(())
+    resample_rows(img, g, |dy, row| {
+        let span = dy * w..(dy + 1) * w;
+        let planes = p0[span.clone()]
+            .iter_mut()
+            .zip(&mut p1[span.clone()])
+            .zip(&mut p2[span]);
+        for (px, ((a, b), c)) in row.chunks_exact(3).zip(planes) {
+            *a = px[0] as f32 * scale[0] + bias[0];
+            *b = px[1] as f32 * scale[1] + bias[1];
+            *c = px[2] as f32 * scale[2] + bias[2];
+        }
+    })
 }
 
 #[cfg(test)]

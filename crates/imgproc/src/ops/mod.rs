@@ -14,11 +14,12 @@ pub mod resize;
 
 pub use colorspace::{rgb_to_ycbcr, ycbcr_to_rgb};
 pub use crop::{center_crop_u8, crop_u8};
-pub use fused::fused_convert_normalize_split;
+pub use fused::{fused_convert_normalize_split, fused_resample_normalize_split_into};
 pub use layout::{hwc_to_chw, to_f32};
 pub use normalize::{normalize_chw, normalize_hwc, Normalization};
 pub use resize::{
-    box_downsample_u8, resize_bilinear_f32, resize_bilinear_u8, resize_short_edge_u8, scaled_dims,
+    box_downsample_u8, resample_rows, resample_u8, resize_bilinear_f32, resize_bilinear_u8,
+    resize_short_edge_u8, scaled_dims, Resample,
 };
 
 #[allow(unused_imports)]

@@ -33,7 +33,7 @@ impl MediaItem {
     /// Source geometry (frame geometry for GOPs).
     pub fn dims(&self) -> (usize, usize) {
         match self {
-            MediaItem::Image(i) => (i.width, i.height),
+            MediaItem::Image(i) => (i.width(), i.height()),
             MediaItem::Gop(g) => (g.width, g.height),
         }
     }

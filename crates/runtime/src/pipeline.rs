@@ -29,10 +29,11 @@ use parking_lot::Mutex;
 use smol_accel::{DeviceStats, ModelKind, VirtualDevice};
 use smol_codec::{DecodeOptions, EncodedImage};
 use smol_core::{DecodeMode, FrameSelection, QueryPlan};
-use smol_imgproc::dag::{plan_op_costs, OpSpec, Placement, PreprocPlan};
-use smol_imgproc::ops::fused::fused_convert_normalize_split_into;
+use smol_imgproc::dag::{plan_op_costs, Placement, PreprocPlan};
 use smol_imgproc::ops::normalize::Normalization;
-use smol_imgproc::ops::{center_crop_u8, resize_bilinear_u8, resize_short_edge_u8};
+use smol_imgproc::ops::{
+    fused_resample_normalize_split_into, resample_rows, resample_u8, Resample,
+};
 use smol_imgproc::{ImageU8, Rect};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -529,12 +530,12 @@ pub fn decode_item_opts(
     match mode {
         DecodeMode::Full => Ok(enc.decode_with_opts(opts)?),
         DecodeMode::CentralRoi { crop_w, crop_h } => {
-            let roi = Rect::centered(enc.width, enc.height, crop_w.max(1), crop_h.max(1));
+            let roi = Rect::centered(enc.width(), enc.height(), crop_w.max(1), crop_h.max(1));
             let (img, _) = enc.decode_roi(roi)?;
             Ok(img)
         }
         DecodeMode::EarlyStopRows { rows } => {
-            let roi = Rect::new(0, 0, enc.width, rows.clamp(1, enc.height));
+            let roi = Rect::new(0, 0, enc.width(), rows.clamp(1, enc.height()));
             let (img, _) = enc.decode_roi(roi)?;
             Ok(img)
         }
@@ -564,6 +565,15 @@ fn effective_preproc(plan: &QueryPlan) -> PreprocPlan {
 /// Executes the CPU-placed prefix of `plan` on a decoded image, writing the
 /// final tensor (or staged intermediate) into `out`.
 ///
+/// The geometric ops collapse into one [`Resample`] over the borrowed
+/// source (it may be a shared cache entry): crops become window or output
+/// offsets, a resize to the current size is elided, and only a second
+/// resample materializes the first. One pass then goes from decoded pixels
+/// to the staged tensor — the normalized CHW f32 tensor when the
+/// elementwise tail runs on the CPU. The result is bit-identical to
+/// [`smol_imgproc::dag::execute_plan`] of the same plan (pinned by
+/// `tests/preproc_properties.rs`).
+///
 /// Returns `(transfer_bytes, accel_ops)`: how many bytes the consumer must
 /// copy to the device and the weighted-op cost of the remaining
 /// accelerator-side operators.
@@ -583,53 +593,49 @@ fn run_cpu_prefix(
         costs[split..].iter().map(|c| c.weighted_ops).sum()
     };
 
-    // Execute geometric CPU ops directly; the elementwise tail (when on
-    // CPU) uses the fused kernel writing straight into the pooled buffer.
-    // The source image is borrowed (it may be a shared cache entry), so
-    // `owned` holds the intermediates the geometric ops produce.
     let mut owned: Option<ImageU8> = None;
-    let mut wrote_f32 = false;
+    let mut geom = Resample::identity(img.width(), img.height());
+    let mut elementwise_on_cpu = false;
     for op in &plan.ops[..split] {
-        let cur: &ImageU8 = owned.as_ref().unwrap_or(img);
-        match &op.spec {
-            OpSpec::ResizeShortEdge { short } => {
-                owned = Some(resize_short_edge_u8(cur, *short as usize)?);
-            }
-            OpSpec::ResizeExact { w, h } => {
-                owned = Some(resize_bilinear_u8(cur, *w as usize, *h as usize)?);
-            }
-            OpSpec::CenterCrop { w, h } => {
-                owned = Some(center_crop_u8(cur, *w as usize, *h as usize)?);
-            }
-            OpSpec::FusedCropResize { short, w, h } => {
-                let scale = cur.short_edge() as f64 / (*short as f64).max(1.0);
-                let cw = (((*w as f64) * scale).round() as usize).clamp(1, cur.width());
-                let ch = (((*h as f64) * scale).round() as usize).clamp(1, cur.height());
-                let cropped = center_crop_u8(cur, cw, ch)?;
-                owned = Some(resize_bilinear_u8(&cropped, *w as usize, *h as usize)?);
-            }
-            OpSpec::ConvertF32 | OpSpec::Normalize | OpSpec::ChannelSplit | OpSpec::Fused(_) => {
-                // Elementwise tail on CPU: one fused pass into the buffer,
-                // then stop — any further CPU elementwise ops are part of
-                // the same fused write.
-                let n = cur.width() * cur.height() * 3;
-                fused_convert_normalize_split_into(cur, norm, &mut out[..n])?;
-                wrote_f32 = true;
-                break;
-            }
+        if geom.out.w == 0 || geom.out.h == 0 {
+            return Err(smol_imgproc::Error::EmptyDimension { op: op.spec.name() }.into());
+        }
+        let Some((keep, resize)) = op.spec.geometry(geom.out.w, geom.out.h) else {
+            // Any CPU elementwise op makes the whole tail one fused write.
+            elementwise_on_cpu = true;
+            break;
+        };
+        geom = geom.crop(keep);
+        if let Some((w, h)) = resize {
+            geom = match geom.resize(w, h) {
+                Some(g) => g,
+                None => {
+                    let src = owned.as_ref().unwrap_or(img);
+                    let earlier = resample_u8(src, &geom)?;
+                    let g = Resample::identity(earlier.width(), earlier.height());
+                    owned = Some(earlier);
+                    g.resize(w, h)
+                        .expect("the identity composes with one resize")
+                }
+            };
         }
     }
-    let cur: &ImageU8 = owned.as_ref().unwrap_or(img);
-    let elems = cur.width() * cur.height() * 3;
-    if wrote_f32 {
+    let src = owned.as_ref().unwrap_or(img);
+    let (w, h) = geom.out_dims();
+    let elems = w * h * 3;
+    if elementwise_on_cpu {
+        fused_resample_normalize_split_into(src, &geom, norm, &mut out[..elems])?;
         Ok((elems * std::mem::size_of::<f32>(), accel_ops))
     } else {
         // Prefix ended with a u8 intermediate: stage the bytes (values are
         // carried in the f32 buffer for simplicity; the *transfer* is
         // charged at u8 width, which is the real placement benefit).
-        for (o, v) in out[..elems].iter_mut().zip(cur.data()) {
-            *o = *v as f32;
-        }
+        let row_len = w * 3;
+        resample_rows(src, &geom, |dy, row| {
+            for (o, v) in out[dy * row_len..(dy + 1) * row_len].iter_mut().zip(row) {
+                *o = *v as f32;
+            }
+        })?;
         Ok((elems, accel_ops))
     }
 }
@@ -897,6 +903,7 @@ mod tests {
     use smol_accel::{ExecutionEnv, GpuModel, ModelKind};
     use smol_codec::Format;
     use smol_core::{InputVariant, Planner, PlannerConfig};
+    use smol_imgproc::dag::{OpSpec, PlacedOp};
 
     fn textured(w: usize, h: usize, seed: usize) -> ImageU8 {
         let mut img = ImageU8::zeros(w, h, 3);
@@ -1189,6 +1196,22 @@ mod tests {
     }
 
     #[test]
+    fn empty_geometry_is_an_error_not_a_panic() {
+        let items = encoded_batch(1, 64, 64);
+        let mut plan = test_plan(64, 64, 32);
+        plan.preproc = PreprocPlan::new(vec![
+            PlacedOp::cpu(OpSpec::CenterCrop { w: 0, h: 0 }),
+            PlacedOp::cpu(OpSpec::FusedCropResize {
+                short: 36,
+                w: 32,
+                h: 32,
+            }),
+            PlacedOp::cpu(OpSpec::ConvertF32),
+        ]);
+        assert!(preproc_only(&items[0], &plan).is_err());
+    }
+
+    #[test]
     fn empty_input_is_ok() {
         let plan = test_plan(64, 64, 32);
         let report =
@@ -1199,11 +1222,17 @@ mod tests {
     #[test]
     fn corrupt_item_surfaces_error() {
         let mut items = encoded_batch(4, 64, 64);
-        let mut bad = items[2].bytes.to_vec();
+        let mut bad = items[2].bytes().to_vec();
         for b in bad.iter_mut().skip(8) {
             *b = 0xFF;
         }
-        items[2].bytes = bytes::Bytes::from(bad);
+        let good = &items[2];
+        items[2] = EncodedImage::new(
+            good.format(),
+            good.width(),
+            good.height(),
+            bytes::Bytes::from(bad),
+        );
         let plan = test_plan(64, 64, 32);
         let result = run_throughput(&items, &plan, &fast_device(), &RuntimeOptions::default());
         assert!(result.is_err());

@@ -26,7 +26,7 @@
 use parking_lot::{Condvar, Mutex};
 use smol_core::DecodeMode;
 use smol_imgproc::ImageU8;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Cache key: content fingerprint of the encoded item + the decode mode
@@ -46,6 +46,9 @@ enum Slot {
 #[derive(Default)]
 struct CacheInner {
     slots: HashMap<Key, Slot>,
+    /// Recency index over the ready slots: `last_use` tick → key. Ticks
+    /// are unique, so the first entry is always the LRU victim.
+    recency: BTreeMap<u64, Key>,
     resident_bytes: u64,
     tick: u64,
     hits: u64,
@@ -140,7 +143,9 @@ impl TensorCache {
                         image, last_use, ..
                     }) => {
                         inner.tick += 1;
+                        inner.recency.remove(last_use);
                         *last_use = inner.tick;
+                        inner.recency.insert(inner.tick, key);
                         let image = Arc::clone(image);
                         inner.hits += 1;
                         return Ok((image, true));
@@ -173,6 +178,7 @@ impl TensorCache {
             Self::evict_to_fit(&mut inner, self.budget_bytes - bytes);
             inner.tick += 1;
             let last_use = inner.tick;
+            inner.recency.insert(last_use, key);
             inner.resident_bytes += bytes;
             inner.slots.insert(
                 key,
@@ -194,20 +200,12 @@ impl TensorCache {
     }
 
     /// Evicts least-recently-used ready entries until resident bytes fit
-    /// under `limit`. Pending slots are never evicted (they hold no bytes
-    /// and an in-flight fill must stay claimable).
+    /// under `limit`, O(log n) per victim. Pending slots are never evicted
+    /// (they hold no bytes, are not in the recency index, and an in-flight
+    /// fill must stay claimable).
     fn evict_to_fit(inner: &mut CacheInner, limit: u64) {
         while inner.resident_bytes > limit {
-            let victim = inner
-                .slots
-                .iter()
-                .filter_map(|(k, s)| match s {
-                    Slot::Ready { last_use, .. } => Some((*k, *last_use)),
-                    Slot::Pending => None,
-                })
-                .min_by_key(|&(_, last_use)| last_use)
-                .map(|(k, _)| k);
-            let Some(key) = victim else {
+            let Some((_, key)) = inner.recency.pop_first() else {
                 break;
             };
             if let Some(Slot::Ready { bytes, .. }) = inner.slots.remove(&key) {
@@ -224,11 +222,7 @@ impl TensorCache {
             misses: inner.misses,
             evictions: inner.evictions,
             resident_bytes: inner.resident_bytes,
-            resident_items: inner
-                .slots
-                .values()
-                .filter(|s| matches!(s, Slot::Ready { .. }))
-                .count(),
+            resident_items: inner.recency.len(),
             decodes: inner.decodes,
         }
     }
@@ -242,6 +236,7 @@ impl TensorCache {
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.slots.retain(|_, s| matches!(s, Slot::Pending));
+        inner.recency.clear();
         inner.resident_bytes = 0;
     }
 }
@@ -385,6 +380,54 @@ mod tests {
             })
             .unwrap();
         assert!(hit1, "recently-touched entry survives");
+    }
+
+    #[test]
+    fn eviction_order_follows_touch_order() {
+        // 300 entries under a 64-entry budget with interleaved hits: the
+        // cache must evict exactly the entries a reference LRU list does,
+        // in the same order.
+        let item = 4 * 4 * 3;
+        let cache = TensorCache::new(64 * item);
+        let mut lru: Vec<u64> = Vec::new();
+        let mut evicted = 0u64;
+        for fp in 0..300u64 {
+            cache
+                .get_or_decode(fp, DecodeMode::Full, || -> Result<ImageU8, ()> {
+                    Ok(img(4, 4, fp as u8))
+                })
+                .unwrap();
+            lru.push(fp);
+            if lru.len() > 64 {
+                lru.remove(0);
+                evicted += 1;
+            }
+            // Touch an older resident entry every other insert.
+            if fp % 2 == 1 {
+                let touched = lru[(fp as usize * 7) % lru.len()];
+                let (_, hit) = cache
+                    .get_or_decode(touched, DecodeMode::Full, || -> Result<ImageU8, ()> {
+                        panic!("{touched} must be resident")
+                    })
+                    .unwrap();
+                assert!(hit);
+                lru.retain(|&k| k != touched);
+                lru.push(touched);
+            }
+            assert_eq!(cache.stats().evictions, evicted);
+        }
+        assert_eq!(cache.stats().resident_items, lru.len());
+        // Every entry the reference keeps is resident, so one more insert
+        // evicts exactly the reference's LRU entry.
+        for &fp in &lru {
+            let (_, hit) = cache
+                .get_or_decode(fp, DecodeMode::Full, || -> Result<ImageU8, ()> {
+                    panic!("{fp} must be resident")
+                })
+                .unwrap();
+            assert!(hit);
+        }
+        assert_eq!(cache.stats().evictions, evicted);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   adapts a [`smol_data::StreamFeed`]);
 //! * [`run_stream`] — the pacing scheduler: a driver thread releases
 //!   GOPs at their arrival times, measures how far behind arrival the
-//!   oldest in-flight GOP is, and maps that lag through a
+//!   oldest in-flight GOP is and projects when this GOP would resolve
+//!   behind the work already committed, and maps both through a
 //!   [`smol_core::PacingPolicy`] onto a rung of the query's calibrated
 //!   [`StreamLadder`] (deblock-skip, strided
 //!   and keyframe-only selections — whatever the planner's frontier
@@ -337,6 +338,12 @@ fn window_spans(start: usize, n: usize, fpw: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// Estimated wall seconds to serve `n_frames` source frames on `step`
+/// (its planner estimate is in source frames per second).
+fn service_s(step: &smol_serve::DegradeStep, n_frames: usize) -> f64 {
+    n_frames as f64 / step.est_throughput.max(f64::MIN_POSITIVE)
+}
+
 struct Driver {
     session: Arc<Session>,
     ladder: StreamLadder,
@@ -359,6 +366,10 @@ struct Driver {
     /// One past the highest frame position that has arrived.
     arrived_frames: usize,
     source_done: bool,
+    /// When (seconds since `start`) the work submitted so far will have
+    /// resolved, at the ladder's estimated throughputs: the pacer's
+    /// look-ahead over committed work.
+    committed_until_s: f64,
 }
 
 fn drive<S: StreamSource>(
@@ -393,6 +404,7 @@ fn drive<S: StreamSource>(
         coverage_sum: 0.0,
         arrived_frames: 0,
         source_done: false,
+        committed_until_s: 0.0,
     };
     d.run(&mut source);
     d.finalize()
@@ -460,7 +472,9 @@ impl Driver {
     }
 
     /// Applies the pacing policy to an arrived GOP: submit on a ladder
-    /// rung, or shed it.
+    /// rung, or shed it. The policy sees the observed lag of the oldest
+    /// in-flight GOP and, per rung, when this GOP would resolve behind the
+    /// work already committed.
     fn pace(&mut self, sg: StreamGop) {
         let now_s = self.start.elapsed().as_secs_f64();
         let lag = self
@@ -468,7 +482,15 @@ impl Driver {
             .iter()
             .map(|p| now_s - p.arrival.as_secs_f64())
             .fold(0.0, f64::max);
-        match self.cfg.policy.decide(lag, self.ladder.rungs.len()) {
+        let behind_s = self.committed_until_s.max(now_s) - sg.arrival.as_secs_f64();
+        let n = sg.gop.n_frames();
+        let projected: Vec<f64> = self
+            .ladder
+            .rungs
+            .iter()
+            .map(|step| behind_s + service_s(step, n))
+            .collect();
+        match self.cfg.policy.decide_projected(lag, &projected) {
             PaceDecision::Drop => self.shed(&sg),
             PaceDecision::Submit { rung } => self.submit(sg, rung),
         }
@@ -518,6 +540,8 @@ impl Driver {
         );
         match submitted {
             Ok(handle) => {
+                let now_s = self.start.elapsed().as_secs_f64();
+                self.committed_until_s = self.committed_until_s.max(now_s) + service_s(step, n);
                 self.stats.gops_submitted += 1;
                 self.stats.max_rung = self.stats.max_rung.max(rung);
                 if rung > 0 {

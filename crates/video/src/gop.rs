@@ -161,6 +161,8 @@ pub struct EncodedGop {
     /// `(kind, byte offset, byte length)` per frame; offsets into `body`.
     index: Vec<(FrameKind, usize, usize)>,
     body: Bytes,
+    /// Content fingerprint, taken once when the GOP is sliced.
+    fingerprint: u64,
 }
 
 impl EncodedGop {
@@ -185,7 +187,13 @@ impl EncodedGop {
     /// `smol_codec::EncodedImage::fingerprint`, so decoded-tensor caches
     /// can key individual frames on (gop fingerprint, frame index) and
     /// hit across repeated submissions of the same stream content.
+    /// Computed once when the GOP is sliced from its container; this is a
+    /// field read.
     pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    fn content_fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
@@ -315,7 +323,7 @@ impl crate::EncodedVideo {
                 .iter()
                 .map(|&(kind, off, len)| (kind, off - base, len))
                 .collect();
-            out.push(EncodedGop {
+            let mut gop = EncodedGop {
                 width: self.width,
                 height: self.height,
                 quality: self.quality,
@@ -324,7 +332,10 @@ impl crate::EncodedVideo {
                 start_frame: start,
                 index,
                 body: self.body_bytes().slice(base..base + total),
-            });
+                fingerprint: 0,
+            };
+            gop.fingerprint = gop.content_fingerprint();
+            out.push(gop);
         }
         out
     }
@@ -528,6 +539,23 @@ mod tests {
         // fingerprint is a pure function of codec params + body).
         let again = encoded(8, 4);
         assert_eq!(gops[0].fingerprint(), again.gops()[0].fingerprint());
+        // The value taken at slicing is the content hash, and that hash
+        // is pinned: cached frames are keyed by it.
+        assert!(gops
+            .iter()
+            .all(|g| g.fingerprint() == g.content_fingerprint()));
+        let bare = EncodedGop {
+            width: 2,
+            height: 3,
+            quality: 80,
+            search_range: 4,
+            fps: 30.0,
+            start_frame: 0,
+            index: Vec::new(),
+            body: Bytes::new(),
+            fingerprint: 0,
+        };
+        assert_eq!(bare.content_fingerprint(), 0xa63b_1d02_19c5_12f1);
     }
 
     #[test]

@@ -22,13 +22,13 @@ fn main() {
 
     // Full decode.
     let t0 = Instant::now();
-    let (_, full_stats) = sjpg::decode_with_stats(&enc.bytes).unwrap();
+    let (_, full_stats) = sjpg::decode_with_stats(enc.bytes()).unwrap();
     let full_us = t0.elapsed().as_secs_f64() * 1e6;
 
     // The DNN only wants the central 224x224-equivalent crop.
     let roi = Rect::centered(img.width(), img.height(), 263, 263);
     let t0 = Instant::now();
-    let (crop_img, aligned, roi_stats) = sjpg::decode_roi(&enc.bytes, roi).unwrap();
+    let (crop_img, aligned, roi_stats) = sjpg::decode_roi(enc.bytes(), roi).unwrap();
     let roi_us = t0.elapsed().as_secs_f64() * 1e6;
 
     println!(
@@ -50,7 +50,7 @@ fn main() {
 
     // Early stopping: only the top rows (e.g. a sky detector).
     let t0 = Instant::now();
-    let (top, stats) = sjpg::decode_rows(&enc.bytes, 64).unwrap();
+    let (top, stats) = sjpg::decode_rows(enc.bytes(), 64).unwrap();
     let early_us = t0.elapsed().as_secs_f64() * 1e6;
     println!(
         "\nearly stop after 64 rows: {early_us:.0} µs ({:.1}x faster), decoded {}x{}, {} rows skipped",

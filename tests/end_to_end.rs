@@ -27,7 +27,7 @@ fn plan_for(items: &[EncodedImage], fmt: Format, batch: usize) -> QueryPlan {
         dnn_input: 112,
         ..Default::default()
     });
-    let input = InputVariant::new("test", fmt, items[0].width, items[0].height).thumbnail();
+    let input = InputVariant::new("test", fmt, items[0].width(), items[0].height()).thumbnail();
     QueryPlan {
         dnn: ModelKind::ResNet50,
         input: input.clone(),
@@ -156,7 +156,7 @@ fn planner_prefers_thumbnails_with_measured_rates() {
     let thumb_items = encode_batch(32, Format::Spng);
     let planner = Planner::default();
     let mk = |items: &[EncodedImage], name: &str, fmt: Format, thumb: bool| {
-        let mut input = InputVariant::new(name, fmt, items[0].width, items[0].height);
+        let mut input = InputVariant::new(name, fmt, items[0].width(), items[0].height());
         if thumb {
             input = input.thumbnail();
         }
@@ -227,8 +227,8 @@ fn session_matches_manual_plan_selection() {
     let thumb_input = InputVariant::new(
         "thumb",
         Format::sjpg(75),
-        thumb_items[0].width,
-        thumb_items[0].height,
+        thumb_items[0].width(),
+        thumb_items[0].height(),
     )
     .thumbnail();
 

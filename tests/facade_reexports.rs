@@ -32,7 +32,7 @@ fn facade_types_are_constructible() {
     assert!(optimized.ops.len() <= plan.ops.len());
 
     let encoded = EncodedImage::encode(&img, Format::sjpg(90)).unwrap();
-    assert_eq!((encoded.width, encoded.height), (8, 8));
+    assert_eq!((encoded.width(), encoded.height()), (8, 8));
     let _ = SjpgEncoder::new(90);
 
     let planner = Planner::new(PlannerConfig::default());

@@ -318,11 +318,17 @@ fn production_error_is_isolated_per_query() {
     let plan = plan_for(ModelKind::ResNet50, 64, 64, 32, 4);
 
     let mut bad_items = encoded_batch(6, 64, 64, 8);
-    let mut corrupted = bad_items[2].bytes.to_vec();
+    let mut corrupted = bad_items[2].bytes().to_vec();
     for b in corrupted.iter_mut().skip(8) {
         *b = 0xFF;
     }
-    bad_items[2].bytes = bytes::Bytes::from(corrupted);
+    let good_item = &bad_items[2];
+    bad_items[2] = EncodedImage::new(
+        good_item.format(),
+        good_item.width(),
+        good_item.height(),
+        bytes::Bytes::from(corrupted),
+    );
 
     let bad = server.submit(plan.clone(), bad_items).unwrap();
     let good = server

@@ -76,7 +76,7 @@ proptest! {
         for (orig, back) in vars.iter().zip(&loaded) {
             prop_assert_eq!(&orig.name, &back.name);
             for (o, b) in orig.items.iter().zip(&back.items) {
-                prop_assert_eq!(&o.bytes[..], &b.bytes[..]);
+                prop_assert_eq!(&o.bytes()[..], &b.bytes()[..]);
                 prop_assert_eq!(o.fingerprint(), b.fingerprint());
             }
         }
