@@ -124,24 +124,43 @@ fn filter_row(ftype: u8, row: &[u8], prev: Option<&[u8]>, bpp: usize, out: &mut 
 }
 
 /// Reconstructs a filtered row in place (prev is the already-reconstructed
-/// previous row).
+/// previous row; `None` for the first row, which predicts from zeros).
+/// Each filter runs its own loop, so the per-byte work is the predictor
+/// alone; the arithmetic is [`filter_row`]'s inverse byte for byte.
 fn unfilter_row(ftype: u8, row: &mut [u8], prev: Option<&[u8]>, bpp: usize) {
-    for i in 0..row.len() {
-        let a = if i >= bpp { row[i - bpp] } else { 0 };
-        let b = prev.map_or(0, |p| p[i]);
-        let c = if i >= bpp {
-            prev.map_or(0, |p| p[i - bpp])
-        } else {
-            0
-        };
-        let pred = match ftype {
-            0 => 0,
-            1 => a,
-            2 => b,
-            3 => ((a as u16 + b as u16) / 2) as u8,
-            _ => paeth(a, b, c),
-        };
-        row[i] = row[i].wrapping_add(pred);
+    let n = row.len();
+    let lead = bpp.min(n);
+    match (ftype, prev) {
+        (0, _) | (2, None) => {}
+        (2, Some(prev)) => {
+            for (v, &b) in row.iter_mut().zip(prev) {
+                *v = v.wrapping_add(b);
+            }
+        }
+        (3, prev) => {
+            let b = |i: usize| prev.map_or(0, |p| p[i]) as u16;
+            for (i, v) in row[..lead].iter_mut().enumerate() {
+                *v = v.wrapping_add((b(i) / 2) as u8);
+            }
+            for i in bpp..n {
+                row[i] = row[i].wrapping_add(((row[i - bpp] as u16 + b(i)) / 2) as u8);
+            }
+        }
+        // Sub, and Paeth with a zero row above (it always predicts `a`).
+        (1, _) | (_, None) => {
+            for i in bpp..n {
+                row[i] = row[i].wrapping_add(row[i - bpp]);
+            }
+        }
+        (_, Some(prev)) => {
+            // Paeth: with a = c = 0 the predictor is `b`.
+            for (v, &b) in row[..lead].iter_mut().zip(prev) {
+                *v = v.wrapping_add(b);
+            }
+            for i in bpp..n {
+                row[i] = row[i].wrapping_add(paeth(row[i - bpp], prev[i], prev[i - bpp]));
+            }
+        }
     }
 }
 
@@ -351,7 +370,7 @@ fn decode_rows_internal(data: &[u8], n_rows: usize) -> Result<(ImageU8, f64)> {
 
     // LZ decode until the needed bytes are produced or the stream ends.
     while out.len() < target {
-        let sym = litlen.decode(&mut r)?;
+        let sym = litlen.decode_fast(&mut r)?;
         if sym == END_OF_STREAM {
             break;
         }
@@ -371,7 +390,7 @@ fn decode_rows_internal(data: &[u8], n_rows: usize) -> Result<(ImageU8, f64)> {
                 } else {
                     0
                 };
-            let dsym = dist.decode(&mut r)? as usize;
+            let dsym = dist.decode_fast(&mut r)? as usize;
             if dsym >= DIST_BASE.len() {
                 return Err(Error::BadCode {
                     context: "spng distance code",
@@ -403,9 +422,10 @@ fn decode_rows_internal(data: &[u8], n_rows: usize) -> Result<(ImageU8, f64)> {
     }
     let consumed = (r.bit_pos() as f64 / 8.0) / data.len() as f64;
 
-    // Unfilter the decoded scanlines.
+    // Unfilter the decoded scanlines in place in the image, each against
+    // the row reconstructed above it.
     let mut img = ImageU8::zeros(width, rows, bpp);
-    let mut prev: Option<Vec<u8>> = None;
+    let pixels = img.data_mut();
     for y in 0..rows {
         let base = y * (stride + 1);
         let ftype = out[base];
@@ -414,11 +434,11 @@ fn decode_rows_internal(data: &[u8], n_rows: usize) -> Result<(ImageU8, f64)> {
                 context: "spng filter type",
             });
         }
-        let mut row = out[base + 1..base + 1 + stride].to_vec();
-        unfilter_row(ftype, &mut row, prev.as_deref(), bpp);
-        let dst_base = y * stride;
-        img.data_mut()[dst_base..dst_base + stride].copy_from_slice(&row);
-        prev = Some(row);
+        let (above, rest) = pixels.split_at_mut(y * stride);
+        let row = &mut rest[..stride];
+        row.copy_from_slice(&out[base + 1..base + 1 + stride]);
+        let prev = y.checked_sub(1).map(|p| &above[p * stride..]);
+        unfilter_row(ftype, row, prev, bpp);
     }
     Ok((img, consumed))
 }
@@ -534,6 +554,33 @@ mod tests {
         let img = textured(23, 41);
         let enc = encode(&img).unwrap();
         assert_eq!(peek_dims(&enc).unwrap(), (23, 41));
+    }
+
+    #[test]
+    fn unfilter_inverts_every_filter() {
+        let mut state = 7u32;
+        let mut noise = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    (state >> 24) as u8
+                })
+                .collect()
+        };
+        for bpp in 1..=4 {
+            for len in [bpp, 2 * bpp + 1, 33 * bpp] {
+                let prev = noise(len);
+                let row = noise(len);
+                for ftype in 0..=4u8 {
+                    for above in [None, Some(&prev[..])] {
+                        let mut filtered = Vec::new();
+                        filter_row(ftype, &row, above, bpp, &mut filtered);
+                        unfilter_row(ftype, &mut filtered, above, bpp);
+                        assert_eq!(filtered, row, "filter {ftype} bpp {bpp} len {len}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
